@@ -47,20 +47,18 @@ Parameter vocabulary, shared by every verb that accepts them:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple, Union
 
 from repro.cache import codec as cache_codec
 from repro.cache import store as cache_store
-from repro.core.flow import (
-    bipartition_experiment,
-    kway_solution,
-    map_circuit,
-)
+from repro.cache.index import MAPPED_INDEX
+from repro.core.flow import bipartition_experiment, kway_solution
 from repro.netlist.benchmarks import benchmark_circuit
-from repro.netlist.bench_io import load_bench
+from repro.netlist.bench_io import bench_name, loads_bench
 from repro.netlist.netlist import Netlist
 from repro.obs import ledger as obs_ledger
 from repro.obs.events import validate_jsonl_file
@@ -84,7 +82,7 @@ from repro.request import (
     build_request,
 )
 from repro.robust.runner import ResilientRunner, RunLog
-from repro.techmap.mapped import MappedNetlist
+from repro.techmap.mapped import MappedNetlist, technology_map
 
 #: Version of the :class:`RunResult` shape.  Bumped on any breaking
 #: change to the dataclass fields or their meaning.
@@ -373,6 +371,33 @@ def _try_warm_solve(
     return solution, info
 
 
+def _circuit_source(
+    circuit: str, scale: float, seed: int
+) -> Tuple[Hashable, Callable[[], Netlist]]:
+    """How a circuit string becomes a netlist: its identity in the
+    mapped-netlist index and a loader.
+
+    A name ending in ``.bench`` is a file, identified by its circuit name
+    and the sha256 of its bytes (``scale`` and ``seed`` do not apply);
+    anything else is a bundled benchmark, identified by
+    ``(name, scale, seed)``.
+    """
+    if circuit.endswith(".bench"):
+        with open(circuit, "rb") as handle:
+            data = handle.read()
+        name = bench_name(circuit)
+        # The loader parses the bytes that were hashed, so the netlist
+        # matches its identity even if the file changes in between.
+        return (
+            (".bench", name, hashlib.sha256(data).hexdigest()),
+            lambda: loads_bench(data.decode("utf-8"), name, source=circuit),
+        )
+    return (
+        (circuit, float(scale), int(seed)),
+        lambda: benchmark_circuit(circuit, scale=scale, seed=seed),
+    )
+
+
 def load(
     circuit: Union[str, Netlist],
     scale: float = 1.0,
@@ -387,10 +412,8 @@ def load(
     start = perf_counter()
     if isinstance(circuit, Netlist):
         netlist = circuit
-    elif circuit.endswith(".bench"):
-        netlist = load_bench(circuit)
     else:
-        netlist = benchmark_circuit(circuit, scale=scale, seed=seed)
+        netlist = _circuit_source(circuit, scale, seed)[1]()
     return RunResult(
         kind="load",
         solution=netlist,
@@ -404,16 +427,21 @@ def map(  # noqa: A001 - deliberate: api.map reads naturally at call sites
     scale: float = 1.0,
     seed: int = 1994,
 ) -> RunResult:
-    """Technology-map ``circuit`` into XC3000 CLBs."""
+    """Technology-map ``circuit`` into XC3000 CLBs.
+
+    Benchmark names and ``.bench`` paths resolve through the process-wide
+    mapped-netlist index (:mod:`repro.cache.index`), so repeated calls
+    return one shared, immutable :class:`MappedNetlist`.  An in-memory
+    :class:`Netlist` is mapped afresh on every call.
+    """
     start = perf_counter()
     if isinstance(circuit, MappedNetlist):
         mapped = circuit
     elif isinstance(circuit, Netlist):
-        mapped = map_circuit(circuit, scale=scale, seed=seed)
+        mapped = technology_map(circuit)
     else:
-        mapped = map_circuit(
-            load(circuit, scale=scale, seed=seed).solution, scale=scale, seed=seed
-        )
+        identity, build = _circuit_source(circuit, scale, seed)
+        mapped = MAPPED_INDEX.get(identity, lambda: technology_map(build()))
     return RunResult(
         kind="map",
         solution=mapped,
@@ -703,8 +731,9 @@ def cached_result(
     (verify-before-trust, like :func:`run_request`'s ``cache="use"``
     path) and wrapped exactly as a warm :func:`run_request` call would
     return it -- ``elapsed_seconds`` is the original solve wall-clock.
-    The service's hot path: pass the memoized ``mapped`` netlist and the
-    lookup is one shard read, independent of netlist size.
+    ``mapped`` defaults to the request's base netlist from the
+    mapped-netlist index, so a repeat lookup is one shard read plus the
+    verify, independent of how expensive the netlist was to build.
     """
     if store is None:
         store = cache_store.resolve_cache()
@@ -712,8 +741,7 @@ def cached_result(
         mapped = map(
             request.circuit, scale=request.scale, seed=request.mapping_seed
         ).solution
-    # ``mapped`` is the *base* netlist (the service memoizes it by
-    # circuit x scale x mapping-seed); a carried delta applies here so
+    # ``mapped`` is the *base* netlist; a carried delta applies here so
     # the key and the verify target are both the post-delta netlist.
     key = request.cache_key(mapped)
     mapped, _ = request.apply_delta(mapped)

@@ -9,26 +9,21 @@ identically in the parent process
 worker; everything it returns is picklable and small (reports and
 quality vectors travel, full solutions stay in the on-disk cache).
 
-Workers keep a small per-process memo of mapped netlists, so
-consecutive jobs on the same (circuit, scale, seed) triple share one
-technology-mapping build -- the scheduler orders same-netlist jobs
-adjacently to maximize that reuse.
+Consecutive jobs on the same netlist share one technology-mapping build
+through the process-wide mapped-netlist index (:mod:`repro.cache.index`)
+-- the scheduler orders same-netlist jobs adjacently to maximize that
+reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.batch.manifest import BatchJob
 from repro.core.results import KWayReport
 from repro.obs import ledger as obs_ledger
-
-#: Mapped-netlist memo entries kept per worker process.
-_MEMO_CAP = 4
-
-_MAPPED_MEMO: Dict[Tuple[str, float, int], Any] = {}
 
 
 @dataclass
@@ -97,20 +92,6 @@ class JobOutcome:
         }
 
 
-def _mapped_for(job: BatchJob) -> Any:
-    """The job's mapped netlist, via the per-process memo."""
-    from repro import api
-
-    nid = job.netlist_id
-    if nid not in _MAPPED_MEMO:
-        if len(_MAPPED_MEMO) >= _MEMO_CAP:
-            _MAPPED_MEMO.pop(next(iter(_MAPPED_MEMO)))
-        _MAPPED_MEMO[nid] = api.map(
-            job.circuit, scale=nid[1], seed=nid[2]
-        ).solution
-    return _MAPPED_MEMO[nid]
-
-
 def kway_report_from_solution(
     solution: Any, threshold: float, elapsed_seconds: float
 ) -> KWayReport:
@@ -144,12 +125,10 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
     start = perf_counter()
     try:
         request = job.to_request()
-        mapped = _mapped_for(job)
         # One execution path for every front door: the job becomes a
         # canonical request and runs through the same run_request flow
-        # the api verbs, the CLI and the service use (the memoized
-        # mapped netlist rides the side-channel).
-        result = api.run_request(request, circuit=mapped, cache=cache)
+        # the api verbs, the CLI and the service use.
+        result = api.run_request(request, cache=cache)
         if job.verb == "partition":
             report = kway_report_from_solution(
                 result.solution, request.threshold, result.elapsed_seconds

@@ -8,9 +8,10 @@ recompute it.  Entries are keyed by the ledger's reproducibility tuple
 on-disk store (``results/cache/<2-hex-shard>/<key>.json``) with atomic
 tmp+rename writes and an LRU size cap.
 
-See :mod:`repro.cache.store` for the store and enablement helpers and
-:mod:`repro.cache.codec` for the solution (de)serialization; the
-``repro.api`` verbs consume both via their ``cache=`` parameter
+See :mod:`repro.cache.store` for the store and enablement helpers,
+:mod:`repro.cache.codec` for the solution (de)serialization and
+:mod:`repro.cache.index` for the per-process mapped-netlist index that
+cache keys are computed on; the ``repro.api`` verbs consume all three
 (``docs/CACHING.md`` documents key derivation and invalidation).
 """
 

@@ -122,12 +122,16 @@ def dumps_bench(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bench_name(path: str) -> str:
+    """The circuit name a ``.bench`` file loads under: its file stem."""
+    return path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+
+
 def load_bench(path: str, name: str = "") -> Netlist:
     """Read a ``.bench`` file from disk (parse errors carry the path)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    circuit_name = name or path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return loads_bench(text, circuit_name, source=path)
+    return loads_bench(text, name or bench_name(path), source=path)
 
 
 def save_bench(netlist: Netlist, path: str) -> None:

@@ -129,8 +129,22 @@ def netlist_fingerprint(mapped: Any) -> str:
     I/O pads -- everything the carve flow reads.  Truth tables are
     excluded deliberately: two circuits with identical connectivity
     partition identically.
+
+    Computed at most once per :class:`~repro.techmap.mapped.MappedNetlist`
+    (which is immutable after construction): the digest is memoized on
+    the object.  Other duck-typed netlists are hashed on every call.
     """
-    payload = {
+    digest = getattr(mapped, "_fingerprint", None)
+    if digest is None:
+        digest = fingerprint(_netlist_payload(mapped))
+        if hasattr(mapped, "_fingerprint"):
+            mapped._fingerprint = digest
+    return digest
+
+
+def _netlist_payload(mapped: Any) -> Dict[str, Any]:
+    """The structure :func:`netlist_fingerprint` hashes."""
+    return {
         "name": mapped.name,
         "pis": list(mapped.primary_inputs),
         "pos": list(mapped.primary_outputs),
@@ -144,7 +158,6 @@ def netlist_fingerprint(mapped: Any) -> str:
             for cell in mapped.cells
         ],
     }
-    return fingerprint(payload)
 
 
 def config_fingerprint(config: Dict[str, Any]) -> str:

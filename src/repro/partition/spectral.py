@@ -14,18 +14,30 @@ baseline for the experiment harness:
 
 Pure-numpy dense eigendecomposition bounds the practical size to a few
 thousand cells, which covers the benchmark suite at experiment scales.
+numpy is imported on first use, so the rest of the package works
+without it; calling the baseline then raises a :class:`ReproError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import Any, List, Optional
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import cut_size
 from repro.partition.fm import FMConfig, fm_bipartition
+from repro.robust.errors import ReproError
+
+
+def _numpy() -> Any:
+    """The numpy module, or a :class:`ReproError` saying it is missing."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ReproError(
+            "the spectral baseline needs numpy, which is not installed"
+        ) from exc
+    return numpy
 
 
 @dataclass
@@ -45,7 +57,8 @@ class SpectralResult:
     fiedler_value: float
 
 
-def _clique_laplacian(hg: Hypergraph, cells: List[int]) -> np.ndarray:
+def _clique_laplacian(hg: Hypergraph, cells: List[int]) -> Any:
+    np = _numpy()
     index = {v: i for i, v in enumerate(cells)}
     n = len(cells)
     adj = np.zeros((n, n), dtype=float)
@@ -83,6 +96,7 @@ def spectral_bipartition(
         assignment = [0] * len(hg.nodes)
         return SpectralResult(assignment, cut_size(hg, assignment), 0.0)
 
+    np = _numpy()
     lap = _clique_laplacian(hg, cells)
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
     fiedler = eigenvectors[:, 1]

@@ -111,7 +111,6 @@ def verify_solution(
                 )
 
     # ---- net presence and drivers ----------------------------------------
-    live_nets = mapped.nets()
     for block in solution.blocks:
         derived: Set[str] = set(block.pad_nets)
         for inputs in block.cell_inputs:
@@ -174,7 +173,7 @@ def verify_solution(
         if pad_placements.get(f"po:{po}", 0) != 1:
             problems.append(f"primary output pad po:{po} not placed exactly once")
     for pi in mapped.primary_inputs:
-        if pi in live_nets and pad_placements.get(f"pi:{pi}", 0) != 1:
+        if pi in live and pad_placements.get(f"pi:{pi}", 0) != 1:
             problems.append(f"primary input pad pi:{pi} not placed exactly once")
 
     if problems and raise_on_violation:

@@ -416,11 +416,6 @@ class PartitionRequest:
         the historical ``repro.api`` behavior)."""
         return self.seed or 1994
 
-    @property
-    def netlist_id(self) -> tuple:
-        """(circuit, scale, mapping seed): the mapped-netlist identity."""
-        return (self.circuit, float(self.scale), self.mapping_seed)
-
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """The JSON document form, in stable field order."""

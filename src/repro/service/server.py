@@ -50,7 +50,6 @@ import json
 import os
 import shutil
 import tempfile
-import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -71,9 +70,6 @@ from repro.service.quota import ClientQuota
 
 #: Largest request body the server will read, in bytes.
 MAX_BODY_BYTES = 1 << 20
-
-#: Mapped netlists memoized by the parent for key computation/hot hits.
-_MAPPED_MEMO_CAP = 8
 
 #: Hot result documents memoized per cache key (O(1) repeat hits).
 _RESULT_MEMO_CAP = 1024
@@ -153,8 +149,6 @@ class PartitionService:
         self._wake: Any = None
         self._cond: Any = None
         self._dispatcher: Any = None
-        self._mapped_memo: Dict[tuple, Any] = {}
-        self._mapped_lock = threading.Lock()
         self._result_memo: Dict[str, Dict[str, Any]] = {}
 
     # -- lifecycle ------------------------------------------------------
@@ -213,31 +207,19 @@ class PartitionService:
 
     # -- blocking helpers (executor threads only) -----------------------
 
-    def _mapped_for(self, request: PartitionRequest) -> Any:
-        """The request's mapped netlist via a bounded parent-side memo --
-        the expensive prefix of key computation, built once per
-        (circuit, scale, mapping-seed) triple."""
-        nid = request.netlist_id
-        with self._mapped_lock:
-            if nid in self._mapped_memo:
-                return self._mapped_memo[nid]
-        mapped = api.map(request.circuit, scale=request.scale, seed=nid[2]).solution
-        with self._mapped_lock:
-            if len(self._mapped_memo) >= _MAPPED_MEMO_CAP:
-                self._mapped_memo.pop(next(iter(self._mapped_memo)))
-            self._mapped_memo[nid] = mapped
-        return mapped
-
     def _hot_result(self, request: PartitionRequest) -> Optional[Dict[str, Any]]:
         """The serialized result of a trustworthy cache hit, else ``None``.
 
         Repeat hits on the same key are O(1): the verified result
         document is memoized, so the hot path costs one dict lookup
-        after the first request (plus the one-time mapping build).
+        after the first request.  The base netlist comes from the
+        process-wide mapped-netlist index (:mod:`repro.cache.index`).
         """
         if self.store is None or self.policy != "use":
             return None
-        mapped = self._mapped_for(request)
+        mapped = api.map(
+            request.circuit, scale=request.scale, seed=request.mapping_seed
+        ).solution
         key = request.cache_key(mapped)
         memo = self._result_memo.get(key)
         if memo is not None:

@@ -68,7 +68,16 @@ class MappedCell:
 
 
 class MappedNetlist:
-    """A technology-mapped circuit: cells + IOB terminals + nets."""
+    """A technology-mapped circuit: cells + IOB terminals + nets.
+
+    Never mutated after construction: edits (ECO deltas) build a new
+    object.  The solution cache relies on this -- the mapped-netlist
+    index (:mod:`repro.cache.index`) shares one instance across requests
+    and the netlist fingerprint is memoized on the object.
+    """
+
+    #: Memoized :func:`repro.obs.ledger.netlist_fingerprint` digest.
+    _fingerprint: Optional[str] = None
 
     def __init__(
         self,
