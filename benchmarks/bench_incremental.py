@@ -54,7 +54,7 @@ from repro.perf.bench import (  # noqa: E402
     time_call,
     write_report,
 )
-from repro.request import build_request  # noqa: E402
+from repro.request import PartitionRequest  # noqa: E402
 from repro.techmap.delta import seeded_delta  # noqa: E402
 from repro.techmap.mapped import technology_map  # noqa: E402
 
@@ -104,8 +104,8 @@ def _workloads(scale):
 def _eco_cycle(name, netlist):
     """One cold -> edit -> warm -> replay drill; returns the report section."""
     mapped = technology_map(netlist)
-    request = build_request(
-        "partition", name, seed=SEED, threshold=1, n_solutions=1
+    request = PartitionRequest(
+        verb="partition", circuit=name, seed=SEED, threshold=1, n_solutions=1
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-incr-") as cache_dir:
         with use_cache(SolutionCache(cache_dir)):
@@ -122,8 +122,8 @@ def _eco_cycle(name, netlist):
                 seed=0,
                 base=netlist_fingerprint(mapped),
             )
-            eco_request = build_request(
-                "partition", name, seed=SEED, threshold=1, n_solutions=1,
+            eco_request = PartitionRequest(
+                verb="partition", circuit=name, seed=SEED, threshold=1, n_solutions=1,
                 delta=delta.to_dict(),
             )
             warm_seconds, warm = time_call(

@@ -35,7 +35,7 @@ import time
 
 from repro import api
 from repro.cache.store import SolutionCache, use_cache
-from repro.request import build_request
+from repro.request import PartitionRequest
 from repro.service.client import ServiceClient
 from repro.service.server import PartitionService
 
@@ -82,9 +82,9 @@ class _ServiceThread:
 
 
 def _request_for(seed):
-    return build_request(
-        "partition",
-        CIRCUIT,
+    return PartitionRequest(
+        verb="partition",
+        circuit=CIRCUIT,
         scale=SCALE,
         seed=seed,
         threshold=1,

@@ -1,48 +1,37 @@
 """The stable, versioned entry point to the partitioning stack.
 
 ``repro.api`` is the recommended way to drive the reproduction
-programmatically.  It wraps the end-to-end flows of :mod:`repro.core.flow`
-and the resilient orchestration of :mod:`repro.robust.runner` behind five
-verbs with one consistent parameter vocabulary::
+programmatically.  Every solve is described by one frozen,
+schema-versioned :class:`~repro.request.PartitionRequest` -- the
+serializable form of a run that the CLI, batch manifests and the job
+service (:mod:`repro.service`) all normalize into -- and executed by
+:func:`run_request`::
 
     from repro import api
 
-    result = api.partition("s5378", scale=0.5, threshold=1, seed=7)
+    request = api.PartitionRequest(verb="partition", circuit="s5378",
+                                   scale=0.5, threshold=1, seed=7)
+    result = api.run_request(request)
     result.solution.cost.total_cost      # the paper's eq. (1) objective
     result.metrics                       # observability snapshot (if tracing)
     result.run_log                       # orchestration log (if resilient)
+    api.RunResult.from_json(result.to_json())   # round-trippable results
 
 * :func:`load` -- resolve a benchmark name / ``.bench`` path / netlist;
 * :func:`map` -- technology-map a circuit into XC3000 CLBs;
-* :func:`bipartition` -- the paper's experiment 1 (Table III);
-* :func:`partition` -- the k-way heterogeneous flow (Tables IV-VII);
+* :func:`run_request` -- execute a request: ``verb="bipartition"`` is
+  the paper's experiment 1 (Table III), ``verb="partition"`` the k-way
+  heterogeneous flow (Tables IV-VII);
+* :func:`cached_result` -- serve a request from the solution cache only;
 * :func:`analyze` -- validate and summarize an observability trace.
-
-The solver verbs are thin shims over :func:`run_request`, which executes
-a frozen, schema-versioned :class:`~repro.request.PartitionRequest` --
-the canonical serializable form of a run that the CLI, batch manifests
-and the job service (:mod:`repro.service`) all normalize into.  Build
-one directly (or pass one as the first argument to either verb) when the
-call needs to travel::
-
-    req = api.PartitionRequest(verb="partition", circuit="s5378",
-                               scale=0.5, threshold=1, seed=7)
-    result = api.run_request(req)
-    req.cache_key(mapped)                # ledger/cache identity
-    api.RunResult.from_json(result.to_json())   # round-trippable results
 
 Every verb returns a :class:`RunResult` stamped with
 ``schema_version`` so downstream consumers can detect shape changes.
-Passing any of ``deadline`` / ``max_retries`` / ``fallback`` to
-:func:`bipartition` or :func:`partition` routes the run through
-:class:`~repro.robust.runner.ResilientRunner` (deadline splitting, retry
-with seed perturbation, engine degradation, checkpointing) and attaches
-the :class:`~repro.robust.runner.RunLog` to the result.
-
-Parameter vocabulary, shared by every verb that accepts them:
-``circuit`` (name, path or object), ``scale``, ``seed``, ``algorithm``
-(``"fm+functional"`` | ``"fm+traditional"`` | ``"fm"``), ``jobs``,
-``deadline`` (seconds).
+A request carrying any of ``deadline`` / ``max_retries`` / ``fallback``
+runs through :class:`~repro.robust.runner.ResilientRunner` (deadline
+splitting, retry with seed perturbation, engine degradation,
+checkpointing) and attaches the :class:`~repro.robust.runner.RunLog` to
+the result.
 """
 
 from __future__ import annotations
@@ -79,7 +68,6 @@ from repro.request import (
     CachePolicy,
     MultilevelMode,
     PartitionRequest,
-    build_request,
 )
 from repro.robust.runner import ResilientRunner, RunLog
 from repro.techmap.mapped import MappedNetlist, technology_map
@@ -467,16 +455,24 @@ def run_request(
     cache: Union[CachePolicy, str, None] = None,
     jobs: Optional[int] = None,
 ) -> RunResult:
-    """Execute a :class:`~repro.request.PartitionRequest` -- the one
-    solver flow behind :func:`bipartition` and :func:`partition`.
+    """Execute a :class:`~repro.request.PartitionRequest`.
 
-    This is the single execution path for both verbs: ledger resolution,
-    technology mapping, multilevel resolution, cache lookup
+    This is the single execution path for both solver verbs: ledger
+    resolution, technology mapping, multilevel resolution, cache lookup
     (verify-before-trust), the solve itself (resilient runner when the
     request carries any of ``deadline`` / ``max_retries`` / ``fallback``),
-    cache store and ledger append.  Every front door -- loose keyword
-    calls, the CLI, batch jobs, the service -- normalizes into a request
-    and lands here, so they are bit-identical by construction.
+    cache store and ledger append.  Every front door -- library callers,
+    the CLI, batch jobs, the service -- normalizes into a request and
+    lands here, so they are bit-identical by construction.
+
+    ``cache="use"`` serves a trustworthy hit (k-way hits are re-verified
+    against the live mapped netlist) and skips both the solve and the
+    ledger append; ``"refresh"`` recomputes and overwrites the entry;
+    ``"off"`` bypasses the store.  A V-cycle that resolves on adds a
+    ``multilevel`` marker to the config fingerprint, so multilevel and
+    flat records never collide.  A carried ``delta`` applies to the
+    mapped netlist first and, with the cache enabled, warm-starts from
+    the nearest cached ancestor (see ``docs/INCREMENTAL.md``).
 
     ``circuit`` and ``library`` are optional side-channels for callers
     that already hold the live objects (an in-memory netlist, a custom
@@ -758,178 +754,6 @@ def cached_result(
     return result
 
 
-def bipartition(
-    circuit: Union[str, Netlist, MappedNetlist, PartitionRequest],
-    scale: float = 1.0,
-    seed: int = 0,
-    algorithm: Union[Algorithm, str] = "fm+functional",
-    runs: int = 20,
-    threshold: Union[int, float] = 0,
-    balance_tolerance: float = 0.02,
-    max_passes: int = 16,
-    max_growth: Optional[float] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    fallback: Optional[bool] = None,
-    cache: Union[CachePolicy, str] = "off",
-    multilevel: Union[MultilevelMode, str, bool, None] = None,
-) -> RunResult:
-    """Experiment 1: ``runs`` equal-size min-cut bipartitionings.
-
-    Accepts either a :class:`~repro.request.PartitionRequest` (the
-    canonical artifact -- every other argument must then be left at its
-    default) or the historical loose keywords, which are normalized into
-    a request internally; both shapes execute the identical
-    :func:`run_request` flow.
-
-    ``multilevel`` takes a :class:`~repro.request.MultilevelMode`
-    (``"on"`` | ``"off"`` | ``"auto"``, default auto: the V-cycle
-    engages at :data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS`
-    cells).  The legacy ``True`` / ``False`` spellings still work behind
-    a ``DeprecationWarning``.  When resolved on, the config fingerprint
-    (ledger / cache key) gains a ``multilevel`` marker, so multilevel and
-    flat records never collide; resolved-off runs keep their existing
-    fingerprints.
-
-    With any of ``deadline`` / ``max_retries`` / ``fallback`` set, the
-    run goes through the resilient runner and ``run_log`` records every
-    attempt, degradation and checkpoint.
-
-    When a run ledger is enabled (:func:`repro.obs.ledger.resolve_ledger`:
-    an installed ledger or the ``REPRO_LEDGER`` environment variable), the
-    quality vector and convergence series are appended to it and attached
-    to the result as ``run_record``.
-
-    ``cache="use"`` consults the solution cache
-    (:func:`repro.cache.resolve_cache`) under the ledger's netlist-hash x
-    config-fingerprint x seed key and memoizes misses; ``"refresh"``
-    recomputes and overwrites the entry; ``"off"`` (default) bypasses the
-    cache entirely.  A hit skips the solve *and* the ledger append (no
-    new run happened) and sets ``cache_info``.
-    """
-    if isinstance(circuit, PartitionRequest):
-        return run_request(circuit)
-    name = circuit if isinstance(circuit, str) else getattr(circuit, "name", "netlist")
-    request = build_request(
-        "bipartition",
-        name,
-        warn_legacy=True,
-        scale=scale,
-        seed=seed,
-        algorithm=algorithm,
-        runs=runs,
-        threshold=threshold,
-        balance_tolerance=balance_tolerance,
-        max_passes=max_passes,
-        max_growth=max_growth,
-        jobs=jobs,
-        deadline=deadline,
-        max_retries=max_retries,
-        fallback=fallback,
-        cache=cache,
-        multilevel=multilevel,
-    )
-    return run_request(
-        request, circuit=None if isinstance(circuit, str) else circuit
-    )
-
-
-def partition(
-    circuit: Union[str, Netlist, MappedNetlist, PartitionRequest],
-    scale: float = 1.0,
-    seed: int = 0,
-    algorithm: Union[Algorithm, str] = "fm+functional",
-    threshold: Union[int, float] = 1,
-    library: Optional[DeviceLibrary] = None,
-    n_solutions: int = 2,
-    seeds_per_carve: int = 3,
-    devices_per_carve: int = 3,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    fallback: Optional[bool] = None,
-    cache: Union[CachePolicy, str] = "off",
-    multilevel: Union[MultilevelMode, str, bool, None] = None,
-    delta: Any = None,
-    warm_start: Optional[str] = None,
-) -> RunResult:
-    """Experiment 2: k-way partitioning into heterogeneous devices.
-
-    Accepts either a :class:`~repro.request.PartitionRequest` (the
-    canonical artifact -- other arguments must then stay at their
-    defaults, except ``library`` for a custom in-memory
-    :class:`~repro.partition.devices.DeviceLibrary`) or the historical
-    loose keywords, normalized into a request internally; both shapes
-    execute the identical :func:`run_request` flow.
-
-    ``multilevel`` takes a :class:`~repro.request.MultilevelMode` (see
-    :func:`bipartition`): ``"on"`` seeds every carve candidate with a
-    multilevel V-cycle initial solution, ``"off"`` never does, ``"auto"``
-    (default) enables it per carve level once the working set is large
-    enough; legacy bools coerce with a ``DeprecationWarning``.  When
-    forced on, the config fingerprint gains a ``multilevel`` marker so
-    ledger/cache records never collide with flat runs.
-
-    ``threshold=float('inf')`` reproduces the no-replication DAC'93
-    baseline.  With any of ``deadline`` / ``max_retries`` / ``fallback``
-    set, the run goes through the resilient runner (verification gate,
-    retry, engine degradation) and ``run_log`` is attached.
-
-    When a run ledger is enabled (:func:`repro.obs.ledger.resolve_ledger`),
-    the quality vector (cost, utilizations, replication, feasibility) and
-    the per-carve convergence series are appended to it and attached to
-    the result as ``run_record``.
-
-    ``cache="use"`` consults the solution cache
-    (:func:`repro.cache.resolve_cache`); a hit is re-verified against the
-    live mapped netlist with
-    :func:`~repro.partition.verify.verify_solution` before it is trusted,
-    skips the solve and the ledger append, and sets ``cache_info``.
-    ``"refresh"`` recomputes and overwrites the entry; ``"off"``
-    (default) bypasses the cache entirely.
-
-    ``delta`` (a :class:`~repro.techmap.delta.NetlistDelta` or its
-    document form) turns the call into an incremental re-solve: the
-    delta applies to the mapped netlist first, identity becomes the
-    post-delta netlist, and -- with the cache enabled -- the solve
-    warm-starts from the nearest cached ancestor, repairing only the
-    dirty region before falling back to a cold solve.  ``warm_start``
-    tunes that: ``"auto"``/``None`` picks the ancestor automatically,
-    ``"off"`` forces cold, any other string is an explicit prior cache
-    key.  See ``docs/INCREMENTAL.md``.
-    """
-    if isinstance(circuit, PartitionRequest):
-        return run_request(circuit, library=library)
-    name = circuit if isinstance(circuit, str) else getattr(circuit, "name", "netlist")
-    request = build_request(
-        "partition",
-        name,
-        warn_legacy=True,
-        scale=scale,
-        seed=seed,
-        algorithm=algorithm,
-        threshold=threshold,
-        library=getattr(library, "name", None) or "XC3000",
-        n_solutions=n_solutions,
-        seeds_per_carve=seeds_per_carve,
-        devices_per_carve=devices_per_carve,
-        jobs=jobs,
-        deadline=deadline,
-        max_retries=max_retries,
-        fallback=fallback,
-        cache=cache,
-        multilevel=multilevel,
-        delta=delta,
-        warm_start=warm_start,
-    )
-    return run_request(
-        request,
-        circuit=None if isinstance(circuit, str) else circuit,
-        library=library,
-    )
-
-
 def analyze(metrics_path: str) -> RunResult:
     """Validate a JSONL observability trace and summarize it.
 
@@ -958,8 +782,6 @@ __all__ = [
     "MultilevelMode",
     "load",
     "map",
-    "bipartition",
-    "partition",
     "run_request",
     "cached_result",
     "analyze",

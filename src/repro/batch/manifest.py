@@ -19,9 +19,9 @@ list expands one entry into one :class:`BatchJob` per seed (a scalar
 ``seed`` is also accepted).  ``threshold`` accepts the paper's
 ``T = inf`` baseline as the string ``"inf"`` (strict JSON has no
 infinity literal).  Per-job ``deadline`` / ``max_retries`` / ``fallback``
-route each job through the resilient runner exactly as the
-``repro.api`` keyword arguments do -- and, like those, they are part of
-the job's cache identity.
+route each job through the resilient runner exactly as the same
+:class:`~repro.request.PartitionRequest` fields do -- and, like those,
+they are part of the job's cache identity.
 
 :func:`expand_manifest` yields fully-resolved jobs in manifest order;
 :func:`load_manifest` reads and validates a file.  The scheduler
@@ -40,7 +40,7 @@ from repro.partition.devices import (
     XC3000_LIBRARY,
     XC4000_LIBRARY,
 )
-from repro.request import PartitionRequest, build_request
+from repro.request import PartitionRequest
 
 #: Manifest identifier expected in the ``schema`` field.
 MANIFEST_SCHEMA_NAME = "repro-batch-manifest/1"
@@ -48,7 +48,7 @@ MANIFEST_SCHEMA_NAME = "repro-batch-manifest/1"
 #: Report identifier stamped into every batch report.
 REPORT_SCHEMA_NAME = "repro-batch-report/1"
 
-#: Verbs a manifest job may use (the cacheable ``repro.api`` verbs).
+#: Verbs a manifest job may use (the cacheable request verbs).
 JOB_VERBS = ("partition", "bipartition")
 
 #: Device libraries resolvable by name in a manifest.
@@ -58,8 +58,8 @@ LIBRARIES: Dict[str, DeviceLibrary] = {
 }
 
 #: Per-verb tunables a job may set (beyond the common fields), with the
-#: ``repro.api`` defaults used when neither the job nor ``defaults``
-#: supplies them.
+#: defaults used when neither the job nor ``defaults`` supplies them.
+#: Bipartition jobs default to ``threshold=0`` (the paper's experiment 1).
 _PARTITION_PARAMS: Dict[str, Any] = {
     "threshold": 1,
     "library": "XC3000",
@@ -81,8 +81,8 @@ _COMMON_PARAMS: Dict[str, Any] = {
     "max_retries": None,
     "fallback": None,
     # Tri-state V-cycle knob; accepts the wire spellings "on"/"off"/
-    # "auto" as well as the legacy true/false/null.  Part of the cache
-    # identity only when it resolves on (see PartitionRequest.config).
+    # "auto" as well as true/false/null.  Part of the cache identity
+    # only when it resolves on (see PartitionRequest.config).
     "multilevel": None,
 }
 
@@ -124,14 +124,6 @@ class BatchJob:
         """
         return (self.circuit, float(self.params["scale"]), self.seed or 1994)
 
-    def api_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for the matching ``repro.api`` verb."""
-        kwargs = dict(self.params)
-        if self.verb == "partition":
-            kwargs["library"] = resolve_library(kwargs.get("library"))
-        kwargs["seed"] = self.seed
-        return kwargs
-
     def to_request(self) -> PartitionRequest:
         """This job as a canonical :class:`~repro.request.PartitionRequest`.
 
@@ -148,7 +140,9 @@ class BatchJob:
         if self.verb == "partition":
             params["library"] = resolve_library(library).name
         try:
-            request = build_request(self.verb, self.circuit, seed=self.seed, **params)
+            request = PartitionRequest(
+                verb=self.verb, circuit=self.circuit, seed=self.seed, **params
+            )
         except ValueError as exc:
             raise ManifestError(f"job {self.job_id}: {exc}") from exc
         return request.with_trace(self.trace_id) if self.trace_id else request
@@ -195,7 +189,7 @@ def _job_params(
     raw: Dict[str, Any],
     where: str,
 ) -> Dict[str, Any]:
-    """Merge job fields over manifest defaults over the api defaults.
+    """Merge job fields over manifest defaults over the verb defaults.
 
     A *default* naming a field the job's verb does not take is silently
     skipped (one ``defaults`` block may serve mixed-verb manifests, e.g.

@@ -191,7 +191,7 @@ def order_jobs(jobs: List[BatchJob]) -> Tuple[List[BatchJob], List[BatchJob]]:
 
 
 # Progress fan-out is serialized: several dispatch threads (service
-# dispatchers, the cluster scheduler) may drive waves against the same
+# dispatchers) may drive waves against the same
 # callback/registry concurrently, and a progress stream with interleaved
 # or torn lines is useless to a follower.
 _EMIT_LOCK = threading.Lock()
@@ -311,7 +311,6 @@ def run_batch(
     cache_dir: Optional[str] = None,
     deadline: Optional[float] = None,
     on_event: Optional[ProgressFn] = None,
-    cluster_dir: Optional[str] = None,
 ) -> BatchReport:
     """Run every job of ``manifest``; returns the finished report.
 
@@ -322,10 +321,6 @@ def run_batch(
     budget in seconds.  ``on_event`` receives progress dicts
     (``job.start`` / ``job.done`` / ``job.skipped`` / ``batch.done``);
     the same events go to the observability registry when tracing.
-    ``cluster_dir`` points the run at an existing ``repro.cluster``
-    deployment: every solve (in-process and pool workers alike) then
-    reads/writes the cluster's quorum-replicated cache instead of a
-    single local store.
     """
     from repro.cache.store import SolutionCache, resolve_cache, use_cache
 
@@ -335,12 +330,7 @@ def run_batch(
     budget = Budget(deadline) if deadline is not None else None
     store: Optional[SolutionCache] = None
     if cache != "off":
-        if cluster_dir:
-            from repro.cluster.admin import load_cluster
-
-            store = load_cluster(cluster_dir).store
-        else:
-            store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
+        store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
 
     if jobs <= 1 or len(primaries) <= 1:
         def run_wave(wave: List[BatchJob], policy: str) -> List[JobOutcome]:
@@ -358,20 +348,13 @@ def run_batch(
         from repro.perf.parallel import BatchJobPool, resolve_jobs
 
         workers = min(resolve_jobs(jobs), len(primaries))
-        pool_dir = None
-        if store is not None and not cluster_dir:
-            pool_dir = store.root
-        with BatchJobPool(
-            pool_dir, cache, workers, cluster_dir=cluster_dir
-        ) as pool:
+        pool_dir = store.root if store is not None else None
+        with BatchJobPool(pool_dir, cache, workers) as pool:
             outcomes = _run_wave_pool(primaries, pool, budget, on_event)
         if duplicates:
             dup_policy = "use" if cache != "off" else "off"
             with BatchJobPool(
-                pool_dir,
-                dup_policy,
-                min(workers, len(duplicates)),
-                cluster_dir=cluster_dir,
+                pool_dir, dup_policy, min(workers, len(duplicates))
             ) as pool:
                 outcomes += _run_wave_pool(duplicates, pool, budget, on_event)
 

@@ -127,7 +127,7 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
         request = job.to_request()
         # One execution path for every front door: the job becomes a
         # canonical request and runs through the same run_request flow
-        # the api verbs, the CLI and the service use.
+        # library callers, the CLI and the service use.
         result = api.run_request(request, cache=cache)
         if job.verb == "partition":
             report = kway_report_from_solution(

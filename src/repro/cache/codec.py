@@ -4,13 +4,13 @@ The cache stores *full* solutions, not just quality vectors, so a hit
 can reconstruct the same :class:`~repro.api.RunResult` payload a fresh
 solve would return.  Two solution shapes round-trip:
 
-* :class:`~repro.partition.kway.KWaySolution` (``repro.api.partition``),
+* :class:`~repro.partition.kway.KWaySolution` (``verb="partition"``),
   including every block's instance pin lists -- the independent checker
   :func:`repro.partition.verify.verify_solution` re-derives all
   solution-level quantities from them, which is what lets a cache hit be
   *verified before it is trusted*;
 * :class:`~repro.core.results.BipartitionReport`
-  (``repro.api.bipartition``).
+  (``verb="bipartition"``).
 
 Decoding is strict: unknown payload types, missing fields or
 wrong-shaped data raise :class:`CacheDecodeError`, which the store maps

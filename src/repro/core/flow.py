@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Optional, Union
 
 from repro.core.results import BipartitionReport, KWayReport
@@ -46,22 +45,6 @@ _ALGORITHM_STYLE = {
     "fm+traditional": TRADITIONAL,
     "fm": NONE,
 }
-
-
-def _resolve_style(algorithm: str, style: Optional[str], caller: str) -> str:
-    """Map the canonical ``algorithm`` name to an engine style, honouring
-    the deprecated ``style=`` keyword when a caller still passes it."""
-    if style is not None:
-        warnings.warn(
-            f"{caller}(style=...) is deprecated; use "
-            "algorithm='fm+functional'|'fm+traditional'|'fm'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return style
-    if algorithm not in _ALGORITHM_STYLE:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    return _ALGORITHM_STYLE[algorithm]
 
 
 def map_circuit(circuit: Union[str, Netlist], scale: float = 1.0, seed: int = 1994) -> MappedNetlist:
@@ -252,7 +235,6 @@ def kway_experiment(
     devices_per_carve: int = 3,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    style: Optional[str] = None,
     multilevel: Optional[bool] = None,
 ) -> KWayReport:
     """Experiment 2: one k-way heterogeneous partitioning data point.
@@ -264,25 +246,22 @@ def kway_experiment(
     pool (deterministic per seed).
 
     ``algorithm`` takes the same names as :func:`bipartition_experiment`
-    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``); ``style=`` is
-    a deprecated alias taking raw engine styles.
+    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``).
     """
-    resolved = _resolve_style(algorithm, style, "kway_experiment")
-    if threshold == float("inf"):
-        resolved = NONE
-    config = KWayConfig(
-        library=library or XC3000_LIBRARY,
-        threshold=threshold,
-        style=resolved,
+    start = time.perf_counter()
+    solution = kway_solution(
+        mapped,
+        threshold,
+        library=library,
+        n_solutions=n_solutions,
         seed=seed,
         seeds_per_carve=seeds_per_carve,
+        algorithm=algorithm,
         devices_per_carve=devices_per_carve,
         budget=budget,
         jobs=jobs,
         multilevel=multilevel,
     )
-    start = time.perf_counter()
-    solution = best_heterogeneous_partition(mapped, config, n_solutions=n_solutions)
     elapsed = time.perf_counter() - start
     return KWayReport(
         circuit=mapped.name,
@@ -311,21 +290,15 @@ def kway_solution(
     devices_per_carve: int = 3,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    style: Optional[str] = None,
     multilevel: Optional[bool] = None,
 ) -> KWaySolution:
-    """Like :func:`kway_experiment` but returning the full solution object.
-
-    ``style=`` is a deprecated alias of ``algorithm=`` taking raw engine
-    styles.
-    """
-    resolved = _resolve_style(algorithm, style, "kway_solution")
-    if threshold == float("inf"):
-        resolved = NONE
+    """Like :func:`kway_experiment` but returning the full solution object."""
+    if algorithm not in _ALGORITHM_STYLE:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     config = KWayConfig(
         library=library or XC3000_LIBRARY,
         threshold=threshold,
-        style=resolved,
+        style=NONE if threshold == float("inf") else _ALGORITHM_STYLE[algorithm],
         seed=seed,
         seeds_per_carve=seeds_per_carve,
         devices_per_carve=devices_per_carve,

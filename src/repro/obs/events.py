@@ -119,11 +119,11 @@ class LineWriter:
 
     ``print(text, file=fh)`` issues *two* writes (the text, then the
     newline), so concurrent writers -- batch progress callbacks with
-    ``--jobs > 1``, service dispatch tasks, the cluster scheduler's
-    threads -- can interleave mid-line and tear the stream.  This writer
-    joins line + terminator into one string and hands it to the
-    underlying file in a single ``write`` call under a lock, then
-    flushes, so every line lands whole and in emission order.
+    ``--jobs > 1``, service dispatch tasks -- can interleave mid-line
+    and tear the stream.  This writer joins line + terminator into one
+    string and hands it to the underlying file in a single ``write``
+    call under a lock, then flushes, so every line lands whole and in
+    emission order.
 
     Wraps an open file-like object (commonly ``sys.stderr`` or a socket
     makefile); ``close()`` only closes targets opened here by path.

@@ -20,7 +20,6 @@ from repro.partition.fm_replication import (
     ReplicationResult,
 )
 from repro.partition.kway import partition_heterogeneous, KWayConfig, KWaySolution
-from repro.partition.clustering import multilevel_bipartition
 from repro.partition.multilevel import (
     MultilevelConfig,
     MultilevelHierarchy,
@@ -49,7 +48,6 @@ __all__ = [
     "MultilevelConfig",
     "MultilevelHierarchy",
     "MultilevelResult",
-    "multilevel_bipartition",
     "resolve_multilevel",
     "vcycle_bipartition",
     "verify_solution",

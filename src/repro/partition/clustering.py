@@ -1,21 +1,20 @@
-"""Legacy object-graph multilevel bipartitioning (now a thin shim).
+"""Legacy object-graph multilevel bipartitioning (the parity reference).
 
 The production multilevel engine lives in
-:mod:`repro.partition.multilevel`: the same classic coarsen-solve-
-uncoarsen scheme, but run entirely on flat
+:mod:`repro.partition.multilevel`
+(:func:`~repro.partition.multilevel.vcycle_bipartition`): the same
+classic coarsen-solve-uncoarsen scheme, but run entirely on flat
 :class:`~repro.hypergraph.compact.CompactHypergraph` arrays (an order of
-magnitude faster on large netlists).  This module keeps the historical
-entry points alive:
+magnitude faster on large netlists).  This module keeps the original
+object-graph implementation as the reference the parity tests compare
+the CSR engine against:
 
-* :func:`multilevel_bipartition` delegates to
-  :func:`repro.partition.multilevel.vcycle_bipartition` and emits a
-  :class:`DeprecationWarning`.
-* ``MultilevelConfig`` / ``MultilevelResult`` are re-exported from the
-  new module (the new config is a strict superset of the old one).
 * :func:`coarsen_once` / :func:`_affinity_matching` -- the original
-  object-graph coarsening step -- remain for tests and for
-  :func:`_legacy_multilevel_bipartition`, the reference implementation
-  that the parity tests compare the CSR engine against.
+  object-graph coarsening step;
+* :func:`_legacy_multilevel_bipartition` -- the original V-cycle.
+
+``MultilevelConfig`` / ``MultilevelResult`` are re-exported from the
+new module (the new config is a strict superset of the old one).
 
 Terminals are never clustered, so terminal-relaxed and terminal-bearing
 hypergraphs both work.
@@ -24,7 +23,6 @@ hypergraphs both work.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, NodeKind, PIN_OUT
@@ -39,14 +37,12 @@ from repro.partition.multilevel import (
     _MAX_SCORING_DEGREE,
     MultilevelConfig,
     MultilevelResult,
-    vcycle_bipartition,
 )
 
 __all__ = [
     "MultilevelConfig",
     "MultilevelResult",
     "coarsen_once",
-    "multilevel_bipartition",
 ]
 
 
@@ -158,21 +154,6 @@ def coarsen_once(
                 coarse.connect_output(node, stub)
                 node.supports = [tuple(range(node.n_inputs))]
     return coarse, mapping
-
-
-def multilevel_bipartition(
-    hg: Hypergraph,
-    config: Optional[MultilevelConfig] = None,
-) -> MultilevelResult:
-    """Deprecated alias of :func:`repro.partition.multilevel.vcycle_bipartition`."""
-    warnings.warn(
-        "repro.partition.clustering.multilevel_bipartition is deprecated; "
-        "use repro.partition.multilevel.vcycle_bipartition (the CSR "
-        "multilevel engine)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return vcycle_bipartition(hg, config)
 
 
 def _legacy_multilevel_bipartition(

@@ -16,8 +16,8 @@ single parse point instead: a *frozen*, schema-versioned dataclass that
   run the request describes;
 * normalizes the historically stringly/tri-state knobs into enums:
   :class:`Algorithm`, :class:`CachePolicy` and :class:`MultilevelMode`
-  (the old ``multilevel=True/False/None`` spellings coerce through a
-  ``DeprecationWarning`` shim).
+  (``multilevel=True/False/None`` stay accepted: bools are the JSON and
+  manifest wire spelling).
 
 Identity vs. execution fields
 -----------------------------
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Dict, Optional, Union
@@ -119,9 +118,8 @@ class MultilevelMode(str, Enum):
     ``ON`` forces the coarsen-solve-uncoarsen engine, ``OFF`` keeps the
     flat engines, ``AUTO`` (default) enables it once the netlist reaches
     :data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS` cells.
-    The historical ``True`` / ``False`` / ``None`` spellings coerce with
-    a ``DeprecationWarning`` (``None`` silently: it is the signature
-    default everywhere).
+    ``True`` / ``False`` / ``None`` coerce to ``ON`` / ``OFF`` / ``AUTO``:
+    bools are the documented JSON and manifest wire format.
     """
 
     ON = "on"
@@ -130,29 +128,14 @@ class MultilevelMode(str, Enum):
 
     @classmethod
     def coerce(
-        cls,
-        value: Union["MultilevelMode", str, bool, None],
-        warn: bool = False,
+        cls, value: Union["MultilevelMode", str, bool, None]
     ) -> "MultilevelMode":
-        """Normalize a multilevel spelling.
-
-        ``warn=True`` (the ``repro.api`` keyword shim) emits a
-        ``DeprecationWarning`` for the legacy bool spellings; JSON /
-        manifest decoding coerces silently -- bools are the documented
-        wire format there.
-        """
+        """Normalize a multilevel spelling; raises :class:`RequestError`."""
         if isinstance(value, cls):
             return value
         if value is None:
             return cls.AUTO
         if isinstance(value, bool):
-            if warn:
-                warnings.warn(
-                    "multilevel=True/False is deprecated; pass "
-                    "MultilevelMode.ON / MultilevelMode.OFF (or 'on'/'off')",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
             return cls.ON if value else cls.OFF
         if isinstance(value, str):
             try:
@@ -195,32 +178,6 @@ def threshold_json(threshold: Union[int, float]) -> Union[int, float, str]:
     return threshold
 
 
-#: Per-verb tunables with the ``repro.api`` defaults -- the one table
-#: the api shims, batch manifests and the service all resolve against.
-PARTITION_PARAMS: Dict[str, Any] = {
-    "threshold": 1,
-    "library": "XC3000",
-    "n_solutions": 2,
-    "seeds_per_carve": 3,
-    "devices_per_carve": 3,
-}
-BIPARTITION_PARAMS: Dict[str, Any] = {
-    "runs": 20,
-    "threshold": 0,
-    "balance_tolerance": 0.02,
-    "max_passes": 16,
-    "max_growth": None,
-}
-COMMON_PARAMS: Dict[str, Any] = {
-    "scale": 1.0,
-    "algorithm": "fm+functional",
-    "deadline": None,
-    "max_retries": None,
-    "fallback": None,
-    "multilevel": None,
-}
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise RequestError(message)
@@ -230,8 +187,8 @@ def _require(cond: bool, message: str) -> None:
 class PartitionRequest:
     """One solver invocation as a frozen, serializable artifact.
 
-    Construct directly, from keyword shims (:func:`build_request`), from
-    a JSON document (:meth:`from_json`) or from a batch-manifest job
+    Construct directly, from a JSON document (:meth:`from_json`) or from
+    a batch-manifest job
     (:meth:`repro.batch.manifest.BatchJob.to_request`); every path yields
     the same normalized object, and equal requests are ``==`` and hash
     alike (usable as memo keys).
@@ -289,8 +246,8 @@ class PartitionRequest:
                  "circuit must be a non-empty string")
         _require(isinstance(self.seed, int) and not isinstance(self.seed, bool),
                  f"seed {self.seed!r} is not an int")
-        # Normalize enum spellings so direct construction is as forgiving
-        # as the shims (frozen dataclass: go through __setattr__ escape).
+        # Normalize enum spellings so direct construction accepts the wire
+        # spellings (frozen dataclass: go through __setattr__ escape).
         object.__setattr__(self, "algorithm", Algorithm.coerce(self.algorithm))
         object.__setattr__(self, "cache", CachePolicy.coerce(self.cache))
         object.__setattr__(
@@ -539,43 +496,15 @@ class PartitionRequest:
         return replace(self, trace_id=trace_id)
 
 
-def build_request(
-    verb: str,
-    circuit: str,
-    *,
-    warn_legacy: bool = False,
-    **kwargs: Any,
-) -> PartitionRequest:
-    """The keyword-argument shim: loose kwargs into a normalized request.
-
-    Used by the ``repro.api`` verbs to keep every historical call shape
-    working; ``warn_legacy`` turns the deprecated spellings (bool
-    ``multilevel``) into ``DeprecationWarning``s.  Unknown keywords
-    raise :class:`RequestError` (mirroring ``TypeError`` semantics).
-    """
-    if "multilevel" in kwargs:
-        kwargs["multilevel"] = MultilevelMode.coerce(
-            kwargs["multilevel"], warn=warn_legacy
-        )
-    allowed = {f.name for f in fields(PartitionRequest)} - {"verb", "circuit"}
-    unknown = sorted(set(kwargs) - allowed)
-    _require(not unknown, f"unknown request field(s): {unknown}")
-    return PartitionRequest(verb=verb, circuit=circuit, **kwargs)
-
-
 __all__ = [
     "Algorithm",
-    "BIPARTITION_PARAMS",
-    "COMMON_PARAMS",
     "CachePolicy",
     "MultilevelMode",
-    "PARTITION_PARAMS",
     "PartitionRequest",
     "REQUEST_SCHEMA_NAME",
     "REQUEST_SCHEMA_VERSION",
     "REQUEST_VERBS",
     "RequestError",
-    "build_request",
     "parse_threshold",
     "threshold_json",
 ]

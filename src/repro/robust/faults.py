@@ -19,14 +19,7 @@ in production (an empty-list check) but consult the active
     inside :meth:`repro.cache.store.SolutionCache.put`, after the
     temporary sibling is written but *before* the atomic rename -- an
     injected error simulates a torn write (the stray ``.tmp`` file is
-    left behind, the entry never lands) (context: ``key``);
-``node.crash``
-    start of every :meth:`repro.cluster.node.SolveNode.run_job` -- the
-    canonical node-kill drill site (context: ``node``, ``job``);
-``rpc.timeout``
-    around every per-node store operation of
-    :class:`repro.cluster.store.ReplicatedCache` (context: ``node``,
-    ``op``).
+    left behind, the entry never lands) (context: ``key``).
 
 A :class:`Fault` matches a site (plus optional context filters), skips
 the first ``after`` matching calls, then fires up to ``times`` times --

@@ -4,11 +4,13 @@ Thin ``http.client`` wrapper over the server's JSON endpoints -- used by
 the smoke drill, the load benchmark and the tests, and convenient from
 scripts::
 
-    from repro.request import build_request
+    from repro.request import PartitionRequest
     from repro.service.client import ServiceClient
 
     client = ServiceClient("127.0.0.1", 8377)
-    reply = client.submit(build_request("partition", "s5378", scale=0.1))
+    reply = client.submit(
+        PartitionRequest(verb="partition", circuit="s5378", scale=0.1)
+    )
     doc = client.wait(reply["job_id"], timeout=120)
 
 Every method opens a fresh connection (the server closes after each

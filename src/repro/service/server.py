@@ -3,10 +3,9 @@
 A long-running, stdlib-only front door over the request API
 (:mod:`repro.request` / :func:`repro.api.run_request`): clients submit
 :class:`~repro.request.PartitionRequest` documents over HTTP, the server
-serves cache hits instantly from :mod:`repro.cache` (the cluster's
-:class:`~repro.cluster.store.ReplicatedCache` when ``cluster_dir`` is
-given), queues misses by priority, fans them out on the batch process
-pool (:class:`~repro.perf.parallel.BatchJobPool`) and streams per-job
+serves cache hits instantly from :mod:`repro.cache`, queues misses by
+priority, fans them out on the batch process pool
+(:class:`~repro.perf.parallel.BatchJobPool`) and streams per-job
 lifecycle events as chunked JSONL or SSE.
 
 Endpoints (all JSON; the request schema is ``repro-partition-request/1``):
@@ -49,6 +48,7 @@ import asyncio
 import json
 import os
 import shutil
+import signal
 import tempfile
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -100,7 +100,6 @@ class PartitionService:
         workers: int = 2,
         cache: str = "use",
         cache_dir: Optional[str] = None,
-        cluster_dir: Optional[str] = None,
         rate: float = 20.0,
         burst: float = 40.0,
         max_inflight: int = 16,
@@ -112,13 +111,8 @@ class PartitionService:
         self.port = port
         self.workers = max(1, int(workers))
         self.policy = cache
-        self.cluster_dir = cluster_dir
         if cache == "off":
             self.store = None
-        elif cluster_dir:
-            from repro.cluster.admin import load_cluster
-
-            self.store = load_cluster(cluster_dir).store
         else:
             self.store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
         self.table = JobTable(keep_finished=keep_finished)
@@ -163,12 +157,8 @@ class PartitionService:
         # touches <dir>/<job_id>.cancel and the pool worker's budgets
         # notice within one CancelFlag poll interval.
         self._cancel_dir = tempfile.mkdtemp(prefix="repro-cancel-")
-        pool_dir = None
-        if self.store is not None and not self.cluster_dir:
-            pool_dir = self.store.root
-        self._pool = BatchJobPool(
-            pool_dir, self.policy, self.workers, cluster_dir=self.cluster_dir
-        )
+        pool_dir = self.store.root if self.store is not None else None
+        self._pool = BatchJobPool(pool_dir, self.policy, self.workers)
         self._running = True
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
@@ -491,7 +481,6 @@ class PartitionService:
             "uptime_seconds": time.time() - self.started_ts,
             "workers": self.workers,
             "cache_policy": self.policy,
-            "cluster": bool(self.cluster_dir),
         }
 
     def _stats(self) -> Dict[str, Any]:
@@ -727,17 +716,26 @@ class _suppress_io:
 
 def run_service(**kwargs: Any) -> None:
     """Blocking entry point: build a :class:`PartitionService` and serve
-    until interrupted (the CLI's ``repro serve`` calls this)."""
+    until interrupted (the CLI's ``repro serve`` calls this).
+
+    SIGTERM takes the same path as Ctrl-C: the serving task is cancelled
+    and :meth:`PartitionService.stop` shuts the worker pool down, so no
+    pool worker outlives the server.
+    """
     service = PartitionService(**kwargs)
 
     async def main() -> None:
-        await service.start()
-        print(
-            f"repro-service listening on http://{service.host}:{service.port} "
-            f"({service.workers} workers, cache={service.policy})",
-            flush=True,
-        )
+        loop = asyncio.get_running_loop()
+        main_task = asyncio.current_task()
+        assert main_task is not None
+        loop.add_signal_handler(signal.SIGTERM, main_task.cancel)
         try:
+            await service.start()
+            print(
+                f"repro-service listening on http://{service.host}:{service.port} "
+                f"({service.workers} workers, cache={service.policy})",
+                flush=True,
+            )
             await service._server.serve_forever()
         except asyncio.CancelledError:
             pass

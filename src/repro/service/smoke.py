@@ -22,7 +22,10 @@ actual sockets:
    far sooner than the job's deadline (the pre-fix behaviour was a
    busy worker until the deadline expired);
 6. **event stream** -- the done job's JSONL stream replays
-   ``job.queued -> job.start -> job.done`` and terminates.
+   ``job.queued -> job.start -> job.done`` and terminates;
+7. **no survivors** -- the server runs in its own session; after a
+   SIGTERM shutdown no process of that session (the server or any pool
+   worker it forked) may still exist.
 
 Exit code 0 on success; any assertion failure prints the reason and
 exits 1.  Everything runs against a throwaway cache directory.
@@ -31,6 +34,8 @@ exits 1.  Everything runs against a throwaway cache directory.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -39,7 +44,7 @@ import time
 from repro import api
 from repro.cache.store import SolutionCache, use_cache
 from repro.obs.telemetry import parse_exposition
-from repro.request import build_request
+from repro.request import PartitionRequest
 from repro.service.client import ServiceClient, ServiceError
 
 #: Tiny quick-turnaround workload: small scaled s5378 carves.
@@ -84,7 +89,38 @@ def _start_server(cache_dir: str) -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        # Its own session (and process group): pool workers it forks
+        # join that group, so one killpg probe finds every survivor.
+        start_new_session=True,
     )
+
+
+def _stop_server(proc: subprocess.Popen, grace: float = 10.0) -> None:
+    """SIGTERM the server, then require its whole session to be gone.
+
+    The server must shut its worker pool down on SIGTERM; a process of
+    its group still alive ``grace`` seconds later is an orphan.  It is
+    killed so the drill leaves nothing behind, then reported.
+    """
+    pgid = proc.pid
+    proc.terminate()
+    try:
+        proc.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        _fail(f"server ignored SIGTERM for {grace:.0f}s")
+    deadline = time.monotonic() + grace
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    os.killpg(pgid, signal.SIGKILL)
+    _fail(f"processes of the server's group {pgid} outlived its shutdown")
 
 
 def _await_port(proc: subprocess.Popen, timeout: float = 30.0) -> int:
@@ -116,8 +152,8 @@ def main() -> int:
             print(f"server healthy on port {port}")
 
             # 1. Mixed burst: cold, hot (same request), cold.
-            req_a = build_request("partition", **COLD_A)
-            req_b = build_request("partition", **COLD_B)
+            req_a = PartitionRequest(verb="partition", **COLD_A)
+            req_b = PartitionRequest(verb="partition", **COLD_B)
             reply = client.submit(req_a)
             if reply["_http_status"] != 202:
                 _fail(f"cold submit should queue (202), got {reply}")
@@ -177,9 +213,9 @@ def main() -> int:
             print("service result bit-identical to direct repro.api run")
 
             # 3. Clean cancellation: occupy the worker, cancel a queued job.
-            slow = client.submit(build_request("partition", **SLOW))
+            slow = client.submit(PartitionRequest(verb="partition", **SLOW))
             victim = client.submit(
-                build_request("partition", circuit="s5378", scale=0.3, seed=5)
+                PartitionRequest(verb="partition", circuit="s5378", scale=0.3, seed=5)
             )
             if victim["_http_status"] != 202:
                 _fail(f"victim should queue behind the slow job, got {victim}")
@@ -195,7 +231,9 @@ def main() -> int:
 
             # 4. Mid-solve cancellation: DELETE a *running* job and
             # require the worker slot back long before its deadline.
-            runner = client.submit(build_request("partition", **RUNNING_VICTIM))
+            runner = client.submit(
+                PartitionRequest(verb="partition", **RUNNING_VICTIM)
+            )
             if runner["_http_status"] != 202:
                 _fail(f"running-victim should queue (202), got {runner}")
             start_deadline = time.monotonic() + 60.0
@@ -246,15 +284,11 @@ def main() -> int:
             else:
                 _fail("unknown job id did not 404")
 
-            print("service smoke: OK")
-            return 0
         finally:
-            proc.terminate()
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            _stop_server(proc)
+        print("server and its workers exited on SIGTERM")
+        print("service smoke: OK")
+        return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.request import RequestError, build_request
+from repro.request import PartitionRequest, RequestError
 from repro.robust.errors import DeltaError, ReproError
 from repro.techmap.delta import (
     DELTA_SCHEMA_NAME,
@@ -210,51 +210,51 @@ class TestSeededDelta:
 class TestRequestIntegration:
     def test_request_normalizes_delta_documents(self, tiny_mapped):
         doc = seeded_delta(tiny_mapped, fraction=0.5, seed=1).to_dict()
-        request = build_request(
-            "partition", "tiny", seed=1, threshold=1, delta=doc
+        request = PartitionRequest(
+            verb="partition", circuit="tiny", seed=1, threshold=1, delta=doc
         )
         assert isinstance(request.delta, NetlistDelta)
         assert request.delta.to_dict() == doc
 
     def test_request_round_trips_with_delta(self, tiny_mapped):
         doc = seeded_delta(tiny_mapped, fraction=0.5, seed=1).to_dict()
-        request = build_request(
-            "partition", "tiny", seed=1, threshold=1, delta=doc,
+        request = PartitionRequest(
+            verb="partition", circuit="tiny", seed=1, threshold=1, delta=doc,
             warm_start="auto",
         )
-        from repro.request import PartitionRequest
-
         again = PartitionRequest.from_json(request.to_json())
         assert again == request
         assert again.to_json() == request.to_json()
 
     def test_delta_free_document_has_no_delta_field(self):
-        doc = build_request("partition", "tiny", seed=1).to_dict()
+        doc = PartitionRequest(verb="partition", circuit="tiny", seed=1).to_dict()
         assert "delta" not in doc and "warm_start" not in doc
 
     def test_empty_delta_shares_the_base_cache_key(self, tiny_mapped):
-        base = build_request("partition", "tiny", seed=1, threshold=1)
-        eco = build_request(
-            "partition", "tiny", seed=1, threshold=1,
+        base = PartitionRequest(verb="partition", circuit="tiny", seed=1, threshold=1)
+        eco = PartitionRequest(
+            verb="partition", circuit="tiny", seed=1, threshold=1,
             delta={"schema": DELTA_SCHEMA_NAME, "v": 1, "ops": []},
         )
         assert eco.cache_key(tiny_mapped) == base.cache_key(tiny_mapped)
 
     def test_nonempty_delta_moves_the_cache_key(self, tiny_mapped):
-        base = build_request("partition", "tiny", seed=1, threshold=1)
-        eco = build_request(
-            "partition", "tiny", seed=1, threshold=1,
+        base = PartitionRequest(verb="partition", circuit="tiny", seed=1, threshold=1)
+        eco = PartitionRequest(
+            verb="partition", circuit="tiny", seed=1, threshold=1,
             delta=seeded_delta(tiny_mapped, fraction=0.5, seed=1).to_dict(),
         )
         assert eco.cache_key(tiny_mapped) != base.cache_key(tiny_mapped)
 
     def test_delta_only_supported_for_partition(self, tiny_mapped):
         with pytest.raises(RequestError, match="partition verb"):
-            build_request(
-                "bipartition", "tiny", seed=1,
+            PartitionRequest(
+                verb="bipartition", circuit="tiny", seed=1,
                 delta={"schema": DELTA_SCHEMA_NAME, "v": 1, "ops": []},
             )
 
     def test_bad_delta_document_rejected(self):
         with pytest.raises(RequestError, match="bad delta"):
-            build_request("partition", "tiny", seed=1, delta={"ops": "nope"})
+            PartitionRequest(
+                verb="partition", circuit="tiny", seed=1, delta={"ops": "nope"}
+            )

@@ -17,7 +17,7 @@ from repro.partition.incremental import (
     incremental_partition,
 )
 from repro.partition.verify import verify_solution
-from repro.request import build_request
+from repro.request import PartitionRequest
 from repro.robust.errors import DeltaError
 from repro.techmap.delta import DeltaOp, DirtyRegion, NetlistDelta, seeded_delta
 from repro.techmap.mapped import technology_map
@@ -120,14 +120,14 @@ class TestApiFrontDoor:
 
     @pytest.fixture()
     def base_request(self):
-        return build_request(
-            "partition", "s5378", scale=0.25, seed=7, threshold=1,
+        return PartitionRequest(
+            verb="partition", circuit="s5378", scale=0.25, seed=7, threshold=1,
             n_solutions=1,
         )
 
     def _eco_request(self, delta, **kwargs):
-        return build_request(
-            "partition", "s5378", scale=0.25, seed=7, threshold=1,
+        return PartitionRequest(
+            verb="partition", circuit="s5378", scale=0.25, seed=7, threshold=1,
             n_solutions=1, delta=delta.to_dict(), **kwargs,
         )
 
@@ -211,8 +211,8 @@ class TestApiFrontDoor:
 
     def test_stale_base_hash_rejected(self, eco_mapped):
         delta = NetlistDelta(base="0" * 64)
-        request = build_request(
-            "partition", "s5378", scale=0.25, seed=7, threshold=1,
+        request = PartitionRequest(
+            verb="partition", circuit="s5378", scale=0.25, seed=7, threshold=1,
             n_solutions=1, delta=delta.to_dict(),
         )
         with pytest.raises(DeltaError, match="live netlist"):

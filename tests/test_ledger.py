@@ -25,6 +25,7 @@ from repro.obs.ledger import (
     use_ledger,
     validate_record,
 )
+from repro.request import PartitionRequest
 
 
 @pytest.fixture
@@ -197,11 +198,16 @@ def test_set_ledger_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _partition(mapped, **fields):
+    request = PartitionRequest(verb="partition", circuit=mapped.name, **fields)
+    return api.run_request(request, circuit=mapped)
+
+
 def test_api_partition_autolog_is_deterministic(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):
-        first = api.partition(small_mapped, threshold=1, seed=3)
-        second = api.partition(small_mapped, threshold=1, seed=3)
+        first = _partition(small_mapped, threshold=1, seed=3)
+        second = _partition(small_mapped, threshold=1, seed=3)
     assert first.run_record is not None and second.run_record is not None
     assert first.run_record["run_key"] == second.run_record["run_key"]
     assert stable_view(first.run_record) == stable_view(second.run_record)
@@ -216,14 +222,18 @@ def test_api_partition_autolog_is_deterministic(tmp_path, small_mapped):
 
 def test_api_without_ledger_attaches_no_record(small_mapped, monkeypatch):
     monkeypatch.delenv(LEDGER_ENV_VAR, raising=False)
-    result = api.partition(small_mapped, threshold=1, seed=3)
+    result = _partition(small_mapped, threshold=1, seed=3)
     assert result.run_record is None
 
 
 def test_api_bipartition_autolog(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):
-        result = api.bipartition(small_mapped, runs=2, seed=3)
+        request = PartitionRequest(
+            verb="bipartition", circuit=small_mapped.name, runs=2, seed=3,
+            threshold=0,
+        )
+        result = api.run_request(request, circuit=small_mapped)
     record = result.run_record
     assert record is not None and record["kind"] == "bipartition"
     assert record["quality"]["best_cut"] == result.solution.best_cut
@@ -233,7 +243,7 @@ def test_api_bipartition_autolog(tmp_path, small_mapped):
 def test_api_runner_path_stores_volatile_runner_log(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):
-        result = api.partition(small_mapped, threshold=1, seed=3, max_retries=0)
+        result = _partition(small_mapped, threshold=1, seed=3, max_retries=0)
     record = result.run_record
     assert record is not None and record["runner"]["attempts"]
     # runner data is volatile: it never enters the determinism contract

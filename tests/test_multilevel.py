@@ -7,6 +7,7 @@ import pytest
 from repro.hypergraph.compact import CompactHypergraph
 from repro.hypergraph.metrics import cut_size, partition_clb_sizes
 from repro.partition.clustering import _legacy_multilevel_bipartition
+from repro.partition.fm import FMConfig, fm_bipartition
 from repro.partition.kway import KWayConfig
 from repro.partition.multilevel import (
     MULTILEVEL_AUTO_MIN_CELLS,
@@ -153,7 +154,32 @@ class TestVCycle:
     def test_cut_matches_assignment(self, small_hg):
         r = vcycle_bipartition(small_hg, MultilevelConfig(seed=1))
         assert isinstance(r, MultilevelResult)
+        assert len(r.assignment) == len(small_hg.nodes)
+        assert set(r.assignment) <= {0, 1}
         assert cut_size(small_hg, r.assignment) == r.cut_size
+
+    def test_competitive_with_flat_fm_on_average(self, small_hg):
+        # On tiny graphs flat FM is near-optimal already; the V-cycle must
+        # stay in the same ballpark on average (it shines on large graphs,
+        # exercised by benchmarks/bench_ablation_multilevel.py).
+        flats = [fm_bipartition(small_hg, FMConfig(seed=s)).cut_size for s in range(4)]
+        mls = [
+            vcycle_bipartition(small_hg, MultilevelConfig(seed=s)).cut_size
+            for s in range(4)
+        ]
+        assert sum(mls) / len(mls) <= 1.25 * sum(flats) / len(flats)
+
+    def test_tiny_graph_short_circuit(self):
+        from tests.conftest import make_cell_hypergraph
+
+        hg = make_cell_hypergraph(
+            [
+                {"name": "a", "inputs": [], "outputs": ["n1"], "supports": [()]},
+                {"name": "b", "inputs": ["n1"], "outputs": ["n2"], "supports": [(0,)]},
+            ]
+        )
+        result = vcycle_bipartition(hg, MultilevelConfig(seed=0, min_nodes=64))
+        assert result.levels == 1  # no coarsening needed
 
     def test_bit_deterministic_repeated(self, small_hg):
         runs = [vcycle_bipartition(small_hg, MultilevelConfig(seed=9)) for _ in range(3)]

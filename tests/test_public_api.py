@@ -1,6 +1,8 @@
 """The public API surface: everything advertised must import and work."""
 
 import importlib
+import os
+import re
 
 import pytest
 
@@ -112,8 +114,6 @@ def test_api_surface_is_locked():
         "MultilevelMode",
         "load",
         "map",
-        "bipartition",
-        "partition",
         "run_request",
         "cached_result",
         "analyze",
@@ -135,32 +135,35 @@ def test_api_facade_quickstart():
     """The README's recommended entry point works end to end."""
     from repro import api
 
-    result = api.partition("s5378", scale=0.08, threshold=1, seed=2)
+    request = api.PartitionRequest(
+        verb="partition", circuit="s5378", scale=0.08, threshold=1, seed=2
+    )
+    result = api.run_request(request)
     assert result.kind == "partition"
     assert result.schema_version == api.SCHEMA_VERSION
     assert result.solution.cost.total_cost > 0
     assert result.run_log is None and result.metrics == {}
 
-    resilient = api.partition("s5378", scale=0.08, threshold=1, seed=2, deadline=60)
+    resilient = api.run_request(
+        api.PartitionRequest(
+            verb="partition", circuit="s5378", scale=0.08, threshold=1, seed=2,
+            deadline=60,
+        )
+    )
     assert resilient.run_log is not None
     assert resilient.solution.cost.total_cost == result.solution.cost.total_cost
 
 
-def test_readme_quickstart_runs():
-    """The README's quickstart snippet must work verbatim (small scale)."""
-    from repro import (
-        FMConfig,
-        ReplicationConfig,
-        benchmark_circuit,
-        build_hypergraph,
-        fm_bipartition,
-        replication_bipartition,
-        technology_map,
-    )
-
-    netlist = benchmark_circuit("s5378", scale=0.08)
-    mapped = technology_map(netlist)
-    hg = build_hypergraph(mapped, include_terminals=False)
-    fm = fm_bipartition(hg, FMConfig(seed=42))
-    fr = replication_bipartition(hg, ReplicationConfig(seed=42))
-    assert fm.cut_size >= 0 and fr.cut_size >= 0
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    """Every Python block of the README's Quickstart section runs verbatim."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Quickstart"):text.index("## Architecture")]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks, "README quickstart has no python blocks"
+    assert any("api.run_request" in block for block in blocks)
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, readme, "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.strip()

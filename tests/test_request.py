@@ -1,4 +1,4 @@
-"""The versioned request schema: round-trips, keys, shims and enums."""
+"""The versioned request schema: round-trips, keys and enums."""
 
 import json
 import warnings
@@ -20,7 +20,6 @@ from repro.request import (
     MultilevelMode,
     PartitionRequest,
     RequestError,
-    build_request,
     parse_threshold,
     threshold_json,
 )
@@ -32,7 +31,7 @@ SCALE = 0.08
 def quick_partition_request(**overrides):
     base = dict(circuit=CIRCUIT, scale=SCALE, seed=7, threshold=1, n_solutions=1)
     base.update(overrides)
-    return build_request("partition", **base)
+    return PartitionRequest(verb="partition", **base)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,8 @@ def test_json_round_trip_partition():
 
 
 def test_json_round_trip_bipartition():
-    request = build_request(
-        "bipartition", CIRCUIT, algorithm="fm", runs=3, threshold=0, seed=2
+    request = PartitionRequest(
+        verb="bipartition", circuit=CIRCUIT, algorithm="fm", runs=3, threshold=0, seed=2
     )
     clone = PartitionRequest.from_json(request.to_json())
     assert clone == request
@@ -100,13 +99,11 @@ def test_from_dict_rejects_unknown_and_wrong_schema():
 
 def test_request_validation():
     with pytest.raises(RequestError):
-        build_request("frobnicate", CIRCUIT)
+        PartitionRequest(verb="frobnicate", circuit=CIRCUIT)
     with pytest.raises(RequestError):
-        build_request("partition", "")
+        PartitionRequest(verb="partition", circuit="")
     with pytest.raises(RequestError):
-        build_request("partition", CIRCUIT, algorithm="quantum")
-    with pytest.raises(RequestError):
-        build_request("partition", CIRCUIT, nonsense_knob=3)
+        PartitionRequest(verb="partition", circuit=CIRCUIT, algorithm="quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +147,20 @@ def test_int_vs_float_threshold_changes_the_key():
 
 
 # ---------------------------------------------------------------------------
-# Enum shims
+# Enum coercion
 # ---------------------------------------------------------------------------
 
 
-def test_multilevel_bool_shim_warns():
-    with pytest.deprecated_call():
-        mode = MultilevelMode.coerce(True, warn=True)
-    assert mode is MultilevelMode.ON and mode.tri is True
+def test_multilevel_bool_coerces_silently():
+    # Bools are the JSON/manifest wire spelling: they coerce, never warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        mode = MultilevelMode.coerce(True)
         assert MultilevelMode.coerce(None) is MultilevelMode.AUTO
         assert MultilevelMode.coerce("off").tri is False
+        assert MultilevelMode.coerce(False) is MultilevelMode.OFF
+        assert quick_partition_request(multilevel=True).multilevel is MultilevelMode.ON
+    assert mode is MultilevelMode.ON and mode.tri is True
     with pytest.raises(RequestError):
         MultilevelMode.coerce("sideways")
 
@@ -172,24 +171,18 @@ def test_cache_policy_coercion_message():
         CachePolicy.coerce("bogus")
 
 
-def test_legacy_kwarg_shim_warns_and_matches(tmp_path):
+def test_bool_multilevel_request_hits_the_auto_entry(tmp_path):
+    # At this size AUTO resolves off, so multilevel=False shares the key.
     request = quick_partition_request()
     with use_cache(SolutionCache(str(tmp_path / "cache"))):
         via_request = api.run_request(request, cache="refresh")
-        with pytest.deprecated_call():
-            via_kwargs = api.partition(
-                CIRCUIT,
-                scale=SCALE,
-                seed=7,
-                threshold=1,
-                n_solutions=1,
-                multilevel=False,
-                cache="use",
-            )
-    assert via_kwargs.cache_info.get("status") == "hit"
-    assert via_kwargs.solution.cost.total_cost == via_request.solution.cost.total_cost
+        via_bool = api.run_request(
+            quick_partition_request(multilevel=False, cache="use")
+        )
+    assert via_bool.cache_info.get("status") == "hit"
+    assert via_bool.solution.cost.total_cost == via_request.solution.cost.total_cost
     assert (
-        json.dumps(via_kwargs.to_dict()["solution"], sort_keys=True)
+        json.dumps(via_bool.to_dict()["solution"], sort_keys=True)
         == json.dumps(via_request.to_dict()["solution"], sort_keys=True)
     )
 

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.request import build_request
+from repro.request import PartitionRequest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobQueue, JobTable
 from repro.service.quota import ClientQuota, TokenBucket
@@ -21,7 +21,7 @@ def quick_request(seed=7, **overrides):
         circuit=CIRCUIT, scale=SCALE, seed=seed, threshold=1, n_solutions=1
     )
     base.update(overrides)
-    return build_request("partition", **base)
+    return PartitionRequest(verb="partition", **base)
 
 
 def make_job(job_id="j1", priority=0, state="queued", client="anonymous"):
@@ -225,7 +225,7 @@ def test_error_paths(served):
     assert excinfo.value.status == 404
     # Unsolvable circuit: refused at submit with a clear 400.
     with pytest.raises(ServiceError) as excinfo:
-        client.submit(build_request("partition", "not-a-circuit"))
+        client.submit(PartitionRequest(verb="partition", circuit="not-a-circuit"))
     assert excinfo.value.status == 400
 
 
@@ -243,3 +243,20 @@ def test_rate_limit_429():
                 )
         assert excinfo.value.status == 429
         assert "Retry-After" not in excinfo.value.payload  # header, not body
+
+
+def test_sigterm_shuts_down_server_and_pool_workers(tmp_path):
+    # `repro serve` in its own session: after SIGTERM neither the server
+    # nor a pool worker it forked for a solve may survive.
+    from repro.service import smoke
+
+    proc = smoke._start_server(str(tmp_path / "cache"))
+    try:
+        port = smoke._await_port(proc)
+        client = ServiceClient("127.0.0.1", port)
+        reply = client.submit(quick_request(seed=21))
+        if reply["_http_status"] == 202:
+            assert client.wait(reply["job_id"], timeout=120)["state"] == "done"
+    finally:
+        smoke._stop_server(proc)
+    assert proc.returncode == 0

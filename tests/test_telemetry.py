@@ -34,7 +34,7 @@ from repro.obs.telemetry import (
     series,
     split_series,
 )
-from repro.request import build_request
+from repro.request import PartitionRequest
 
 from tests.test_service import ServiceThread, quick_request
 
@@ -46,7 +46,7 @@ def traced_request(seed=7, jobs_scale=0.08, **overrides):
         circuit="s5378", scale=jobs_scale, seed=seed, threshold=1, n_solutions=1
     )
     base.update(overrides)
-    return build_request("partition", **base).with_trace(TRACE)
+    return PartitionRequest(verb="partition", **base).with_trace(TRACE)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,8 @@ def traced_run(tmp_path):
         trace_dir=str(trace_dir),
     )
     reg.emit_meta()
-    request = build_request(
-        "bipartition", circuit="s5378", scale=0.08, seed=7, runs=4
+    request = PartitionRequest(
+        verb="bipartition", circuit="s5378", scale=0.08, seed=7, runs=4
     ).with_trace(TRACE)
     with use_registry(reg):
         result = api.run_request(request, cache="off", jobs=2)
